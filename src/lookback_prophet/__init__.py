@@ -88,4 +88,4 @@ from .theory import (
     solve_p_gamma,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

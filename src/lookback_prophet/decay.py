@@ -54,8 +54,8 @@ class PiecewiseLinear:
             raise ParameterOutOfRange("piecewise map needs >= 2 matching knots")
         if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
             raise ParameterOutOfRange("knot x-values must be strictly increasing")
-        if any(x < 0.0 for x in self.xs) or any(y < 0.0 for y in self.ys):
-            raise ParameterOutOfRange("knots must be non-negative")
+        if not all(v >= 0.0 for v in self.xs + self.ys):
+            raise ParameterOutOfRange("knots must be non-negative numbers")
 
     def __call__(self, x: float) -> float:
         return float(np.interp(x, self.xs, self.ys))
@@ -162,8 +162,8 @@ def subtractive_decay(costs, terminal: float) -> DecaySequence:
     """
     cs = tuple(float(c) for c in costs)
     t = float(terminal)
-    if any(c <= 0.0 for c in cs) or t <= 0.0:
-        raise ParameterOutOfRange("costs must be positive")
+    if not all(c > 0.0 for c in cs + (t,)):
+        raise ParameterOutOfRange("costs must be positive numbers")
     return DecaySequence(kind="subtractive", prefix=cs, terminal=t)
 
 

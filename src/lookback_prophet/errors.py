@@ -13,6 +13,11 @@ class IntegrationFailure(LookbackError):
     """Numeric integration did not reach the requested tolerance."""
 
 
+class InvariantViolation(LookbackError):
+    """A computed reward broke an invariant, such as exceeding the largest
+    observation (a decay map above the identity)."""
+
+
 class DegenerateInstance(LookbackError):
     """A quantile target cannot be realized on this instance.
 

@@ -1,13 +1,24 @@
 """Exact brute-force oracles and seeded Monte Carlo evaluation.
 
-Reproducibility contract: replication r derives its random streams
-statelessly from (seed, r, stream tag) through a splitmix64 mix, so
-results are bit-identical for identical (seed, reps) regardless of how
-replications are scheduled across workers.  Per replication the draw
-order is fixed: the n values in distribution-index order, then the
-arrival permutation (random order only), then any policy coins and
-decay realizations.  Aggregation reduces in replication-index order
-with exact compensated summation.
+Reproducibility contract: every random number of a Monte Carlo run is a
+stateless counter-based hash of (seed, replication r, stream tag, cell i),
+so replication r depends on (seed, r) alone and a report is bit-identical
+for identical (seed, reps) whatever the block size or worker count.  The
+stream key is ``child_seed(seed, r, tag)`` and cell i is ``splitmix64(key
++ i * 0x9E3779B97F4A7C15) >> 11`` times 2**-53, computed for a block of
+replications x cells at once in uint64 arithmetic.  Per replication, the
+values tag gives the n value uniforms in distribution-index order (values
+by quantile), the order tag the n keys whose stable argsort is the arrival
+order (random order only), and the coin tag one tie-break coin per arrival
+position for threshold policies.  Other policies draw their coins and
+bernoulli realizations, as they need them, from ``child_rng(seed, r, coin
+tag)``, created only if one is needed.
+
+A threshold policy under gamma, geometric or subtractive decay finishes a
+block in one array pass, in-process whatever the worker count; any other
+policy walks ``run_policy`` per replication over the same drawn rows,
+across a process pool when workers > 1.  Aggregation reduces in
+replication-index order with exact compensated summation.
 
 ``brute_force_value`` integrates the full outcome space (times all
 permutations in the random-order model) and handles tie-break coins
@@ -22,6 +33,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import permutations, product
 
 import numpy as np
@@ -37,26 +49,32 @@ from .errors import (
     UnsupportedDecay,
     UnsupportedDistribution,
 )
-from .policies import ThresholdPolicy, run_policy
+from .policies import ThresholdPolicy, check_reward, run_policy
 
 ENUMERATION_BUDGET = 10**7
 RANDOM_ORDER_ENUM_MAX_N = 8
 Z_95 = 1.959963984540054
 CI_RELIABLE_MIN_REPS = 1000
+# Replications x cells drawn at once; bounds the memory of one block.
+BLOCK_CELLS = 1 << 18
 
 _TAG_VALUES = 0x56414C55
 _TAG_ORDER = 0x4F524452
 _TAG_AUX = 0x434F494E
+# Decay kinds whose threshold rewards come from one array pass per block
+_BATCHED_DECAYS = ("gamma", "geometric", "subtractive")
 
 REPORT_CSV_HEADER = (
     "gamma,mean_reward,expected_opt,ratio,ci_half_width,reps,seed,theory_lower,theory_upper"
 )
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 
 
-def _splitmix64(z: int) -> int:
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+def _splitmix64(z):
+    """splitmix64 of a Python int, or elementwise of a uint64 array."""
+    z = (z + _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -73,19 +91,58 @@ def child_rng(seed: int, replication: int, tag: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(child_seed(seed, replication, tag)))
 
 
+def stream_bits(seed: int, tag: int, start: int, stop: int, cells) -> np.ndarray:
+    """Cells ``cells`` of stream ``tag`` for replications start..stop-1.
+
+    Entry [k, j] is splitmix64(child_seed(seed, start + k, tag) +
+    cells[j] * golden), the cells[j]-th output of a splitmix64 generator
+    seeded with the stream key.
+    """
+    reps = np.arange(start, stop, dtype=np.uint64)
+    keys = _splitmix64(_splitmix64(_splitmix64(seed & _MASK64) ^ reps) ^ tag)
+    return _splitmix64(keys[:, None] + np.asarray(cells, dtype=np.uint64) * np.uint64(_GOLDEN))
+
+
+def stream_uniforms(seed: int, tag: int, start: int, stop: int, cells) -> np.ndarray:
+    """``stream_bits`` as doubles in [0, 1) with 53 random bits."""
+    return (stream_bits(seed, tag, start, stop, cells) >> 11) * 2.0**-53
+
+
+def draw_block(inst: Instance, seed: int, start: int, stop: int):
+    """The rows of replications start..stop-1.
+
+    Returns (values, observed, order): the values in distribution-index
+    order, the same values in arrival order, and the arrival order (the
+    distribution index seen at each step; None unless the order is random).
+    Point masses use no uniforms.
+    """
+    n = inst.n
+    values = np.empty((stop - start, n))
+    columns: dict = {}
+    for i, d in enumerate(inst.iter_dists()):
+        columns.setdefault(d, []).append(i)
+    for d, cols in columns.items():
+        u = 0.0 if d.kind == "point" else stream_uniforms(seed, _TAG_VALUES, start, stop, cols)
+        values[:, cols] = d.quantile_many(u)
+    if inst.order != "random":
+        return values, values, None
+    keys = stream_bits(seed, _TAG_ORDER, start, stop, np.arange(n))
+    order = np.argsort(keys, axis=1, kind="stable")
+    return values, np.take_along_axis(values, order, axis=1), order
+
+
 class _LazyRng:
     """Creates its generator only if a coin is actually needed."""
 
-    __slots__ = ("_seed", "_rep", "_tag", "_gen")
-
     def __init__(self, seed, rep, tag):
-        self._seed, self._rep, self._tag = seed, rep, tag
-        self._gen = None
+        self.key = (seed, rep, tag)
+
+    @cached_property
+    def gen(self) -> np.random.Generator:
+        return child_rng(*self.key)
 
     def random(self, *args):
-        if self._gen is None:
-            self._gen = child_rng(self._seed, self._rep, self._tag)
-        return self._gen.random(*args)
+        return self.gen.random(*args)
 
 
 @dataclass(frozen=True)
@@ -102,156 +159,60 @@ class SimulationReport:
     ci_reliable: bool
 
 
-def _sampler_plan(inst: Instance):
-    """A vectorized inverse transform u[0..n) -> values[0..n).
+def _batched(policy, decay: DecaySequence) -> bool:
+    return isinstance(policy, ThresholdPolicy) and decay.kind in _BATCHED_DECAYS
 
-    Bit-identical to calling Distribution.quantile per index, but one
-    numpy pass per kind instead of a Python loop over positions.
+
+def threshold_block_rewards(policy: ThresholdPolicy, decay: DecaySequence, observed, coins=None):
+    """Rewards of a threshold policy on the rows of ``observed``, in one pass.
+
+    Row k stops at the first step s whose value is above theta, or equal to
+    it with coins()[k, s] < q (``coins`` is called only if 0 < q < 1); s = n
+    when nothing is accepted.  Its reward is the row max of D_(s-i)(x_i)
+    over i <= s, lag 0 being the accepted value itself.
     """
-    if inst.order == "iid":
-        d = inst.distributions[0]
-        return d.quantile_many
-
-    dists = inst.distributions
-    n = len(dists)
-    disc_idx = [i for i, d in enumerate(dists) if d.kind in ("point", "discrete")]
-    uni_idx = [i for i, d in enumerate(dists) if d.kind == "uniform"]
-    exp_idx = [i for i, d in enumerate(dists) if d.kind == "exponential"]
-
-    if disc_idx:
-        width = max(len(dists[i].support) for i in disc_idx)
-        cum_mat = np.full((len(disc_idx), width), 2.0)  # 2.0 > any uniform draw
-        sup_mat = np.zeros((len(disc_idx), width))
-        last = np.empty(len(disc_idx), dtype=np.intp)
-        for row, i in enumerate(disc_idx):
-            d = dists[i]
-            cum_mat[row, : len(d.support)] = d._cum
-            sup_mat[row, : len(d.support)] = d.support
-            last[row] = len(d.support) - 1
-        disc_rows = np.arange(len(disc_idx))
-        disc_pos = np.asarray(disc_idx)
-    if uni_idx:
-        uni_lo = np.array([dists[i].lo for i in uni_idx])
-        uni_w = np.array([dists[i].hi - dists[i].lo for i in uni_idx])
-        uni_pos = np.asarray(uni_idx)
-    if exp_idx:
-        exp_rate = np.array([dists[i].rate for i in exp_idx])
-        exp_pos = np.asarray(exp_idx)
-
-    def values_from(u: np.ndarray) -> np.ndarray:
-        out = np.empty(n)
-        if disc_idx:
-            idx = np.minimum((u[disc_pos, None] >= cum_mat).sum(axis=1), last)
-            out[disc_pos] = sup_mat[disc_rows, idx]
-        if uni_idx:
-            out[uni_pos] = uni_lo + u[uni_pos] * uni_w
-        if exp_idx:
-            out[exp_pos] = -np.log1p(-u[exp_pos]) / exp_rate
-        return out
-
-    return values_from
-
-
-def _deterministic_decay(decay: DecaySequence) -> bool:
-    return decay.kind != "bernoulli"
-
-
-def _decayed_max(decay: DecaySequence, xs: np.ndarray, lags: np.ndarray) -> float:
-    """max over positions of D_lag(x) for a deterministic decay."""
-    if decay.kind == "gamma":
-        vals = np.where(lags == 0, xs, decay.param * xs)
-    elif decay.kind == "geometric":
-        vals = decay.param**lags * xs
-    elif decay.kind == "subtractive":
-        costs = np.array([0.0] + [decay.cost_at(int(j)) for j in range(1, int(lags.max()) + 1)])
-        vals = np.maximum(0.0, xs - costs[lags])
+    reps, n = observed.shape
+    theta, q = policy.theta, policy.tie_break_accept_prob
+    accept = observed > theta
+    if q > 0.0:
+        tie = observed == theta
+        if q < 1.0 and tie.any():
+            tie &= coins() < q
+        accept |= tie
+    stop = np.where(accept.any(axis=1), accept.argmax(axis=1), n)
+    lag = np.maximum(stop[:, None] - np.arange(n), -1)  # -1: after the stop, recovers 0
+    lags = range(1, n + 1)
+    if decay.kind == "subtractive":
+        cost = np.array([0.0, *(decay.cost_at(j) for j in lags), np.inf])
+        rewards = np.maximum(0.0, observed - cost[lag]).max(axis=1)
     else:
-        vals = np.array(
-            [decay_mod.evaluate(decay, int(j), float(x)) for j, x in zip(lags, xs)]
-        )
-    return float(vals.max()) if len(vals) else 0.0
-
-
-def _threshold_path_reward(
-    observed: np.ndarray, theta: float, q: float, decay: DecaySequence, aux: _LazyRng
-) -> float:
-    """One threshold trajectory, vectorized along the path."""
-    n = len(observed)
-    above = observed > theta
-    stop = None
-    if q > 0.0 and np.any(observed == theta):
-        for t in range(n):  # scalar walk only when a tie coin can fire
-            x = observed[t]
-            if x > theta or (x == theta and aux.random() < q):
-                stop = t + 1
-                break
-    elif above.any():
-        stop = int(np.argmax(above)) + 1
-    if stop is None:
-        reward = _decayed_max(decay, observed, np.arange(n, 0, -1))
-    else:
-        reward = _decayed_max(decay, observed[:stop], np.arange(stop - 1, -1, -1))
-    assert reward <= observed.max() + 1e-12  # decay never exceeds identity
-    return reward
+        factor = np.array([1.0, *(decay_mod.evaluate(decay, j, 1.0) for j in lags), 0.0])
+        rewards = (observed * factor[lag]).max(axis=1)
+    tops = observed.max(axis=1)
+    worst = int(np.argmax(rewards - tops))
+    check_reward(rewards[worst], tops[worst])
+    return rewards
 
 
 def _simulate_chunk(args):
+    """(rewards, maxima) of replications start..stop-1, block by block."""
     inst, policy, decay, seed, start, stop = args
-    n = inst.n
-    values_from = _sampler_plan(inst)
-    random_order = inst.order == "random"
-    fast = isinstance(policy, ThresholdPolicy) and _deterministic_decay(decay)
-    # scalar micro-path: tiny fixed-order paths under constant-fraction decay
-    scalar = fast and not random_order and decay.kind == "gamma" and n <= 8
-    if scalar:
-        quantiles = [d.quantile for d in inst.iter_dists()]
-        theta, q, g = policy.theta, policy.tie_break_accept_prob, decay.param
-    rewards = [0.0] * (stop - start)
-    maxima = [0.0] * (stop - start)
-    for r in range(start, stop):
-        u = child_rng(seed, r, _TAG_VALUES).random(n)
-        if scalar:
-            best = 0.0
-            stopped_at = -1
-            aux = None
-            for i in range(n):
-                x = quantiles[i](u[i])
-                if stopped_at < 0 and x >= theta:
-                    if x == theta and q < 1.0:
-                        if q > 0.0:
-                            aux = aux or _LazyRng(seed, r, _TAG_AUX)
-                            accept = aux.random() < q
-                        else:
-                            accept = False
-                    else:
-                        accept = True
-                    if accept:
-                        stopped_at = i
-                        reward = x if x > g * best else g * best
-                if x > best:
-                    best = x
-            if stopped_at < 0:
-                reward = g * best
-            rewards[r - start] = reward
-            maxima[r - start] = best
-            continue
-        values = values_from(u)
-        if random_order:
-            perm = child_rng(seed, r, _TAG_ORDER).permutation(n)
-            observed = values[perm]
+    step = max(1, BLOCK_CELLS // inst.n)
+    rewards, maxima = [], []
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        values, observed, order = draw_block(inst, seed, lo, hi)
+        if _batched(policy, decay):
+            coins = partial(stream_uniforms, seed, _TAG_AUX, lo, hi, np.arange(inst.n))
+            rewards.append(threshold_block_rewards(policy, decay, observed, coins))
         else:
-            perm = None
-            observed = values
-        aux = _LazyRng(seed, r, _TAG_AUX)
-        if fast:
-            reward = _threshold_path_reward(
-                observed, policy.theta, policy.tie_break_accept_prob, decay, aux
-            )
-        else:
-            reward = run_policy(policy, observed, decay, aux, dist_indices=perm).reward
-        rewards[r - start] = reward
-        maxima[r - start] = float(values.max())
-    return np.asarray(rewards), np.asarray(maxima)
+            rewards.append(np.array([
+                run_policy(policy, observed[k], decay, _LazyRng(seed, lo + k, _TAG_AUX),
+                           dist_indices=None if order is None else order[k]).reward
+                for k in range(hi - lo)
+            ]))
+        maxima.append(values.max(axis=1))
+    return np.concatenate(rewards), np.concatenate(maxima)
 
 
 def monte_carlo(
@@ -265,17 +226,18 @@ def monte_carlo(
     """Estimate the expected reward of a policy by seeded replication.
 
     The denominator E[OPT] comes from expected_max when that converges,
-    otherwise from the same sampled paths.
+    otherwise from the same sampled paths.  Threshold policies under
+    deterministic non-table decay run in-process whatever ``workers`` is.
     """
     if reps < 1:
         raise ParameterOutOfRange("need reps >= 1")
     if workers < 1:
         raise ParameterOutOfRange("need workers >= 1")
 
-    chunks = _chunk_ranges(reps, workers)
+    chunks = _chunk_ranges(reps, 1 if _batched(policy, decay) else workers)
     args = [(inst, policy, decay, seed, start, stop) for start, stop in chunks]
-    if workers == 1 or len(chunks) == 1:
-        parts = [_simulate_chunk(a) for a in args]
+    if len(chunks) == 1:
+        parts = [_simulate_chunk(*args)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_simulate_chunk, args))
@@ -284,8 +246,8 @@ def monte_carlo(
 
     mean = math.fsum(rewards) / reps
     if reps > 1:
-        var = math.fsum((x - mean) ** 2 for x in rewards) / (reps - 1)
-        ci = Z_95 * math.sqrt(var / reps)
+        dev = rewards - mean
+        ci = Z_95 * math.sqrt(math.fsum(dev * dev) / (reps - 1) / reps)
     else:
         ci = 0.0
 
@@ -312,13 +274,8 @@ def monte_carlo(
 
 def _chunk_ranges(reps: int, workers: int) -> list[tuple[int, int]]:
     k = min(workers, reps)
-    base, extra = divmod(reps, k)
-    ranges, start = [], 0
-    for i in range(k):
-        stop = start + base + (1 if i < extra else 0)
-        ranges.append((start, stop))
-        start = stop
-    return ranges
+    bounds = [reps * i // k for i in range(k + 1)]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _constant_bernoulli_p(decay: DecaySequence) -> float:
@@ -342,24 +299,13 @@ def _expected_recovery_max(floor: float, past: list[float], p: float) -> float:
     return total + none_yet * floor
 
 
-def _exact_stop_reward(observed, t: int, decay: DecaySequence, bern_p: float | None) -> float:
-    x = observed[t - 1]
+def _exact_reward(observed, tau: int, decay: DecaySequence, bern_p: float | None) -> float:
+    """Reward of stopping at step tau (n + 1: never), recovery coins integrated."""
+    floor = observed[tau - 1] if tau <= len(observed) else 0.0
     if bern_p is not None:
-        return _expected_recovery_max(x, list(observed[: t - 1]), bern_p)
-    best = x
-    for lag in range(1, t):
-        best = max(best, decay_mod.evaluate(decay, lag, observed[t - 1 - lag]))
-    return best
-
-
-def _exact_end_reward(observed, decay: DecaySequence, bern_p: float | None) -> float:
-    if bern_p is not None:
-        return _expected_recovery_max(0.0, list(observed), bern_p)
-    n = len(observed)
-    best = 0.0
-    for lag in range(1, n + 1):
-        best = max(best, decay_mod.evaluate(decay, lag, observed[n - lag]))
-    return best
+        return _expected_recovery_max(floor, list(observed[: tau - 1]), bern_p)
+    recalls = (decay_mod.evaluate(decay, lag, observed[tau - 1 - lag]) for lag in range(1, tau))
+    return max([floor, *recalls])
 
 
 def _enumeration_space(dists) -> int:
@@ -418,14 +364,14 @@ def brute_force_value(inst: Instance, policy, decay: DecaySequence, order: str |
                     rem_after = remaining - {perm[t - 1]}
                     a = policy.stop_probability(t, x, running_max, n, rem_after)
                     if a > 0.0:
-                        acc += alive * a * _exact_stop_reward(observed, t, decay, bern_p)
+                        acc += alive * a * _exact_reward(observed, t, decay, bern_p)
                         alive *= 1.0 - a
                         if alive == 0.0:
                             break
                     running_max = max(running_max, x)
                     remaining = rem_after
                 if alive > 0.0:
-                    acc += alive * _exact_end_reward(observed, decay, bern_p)
+                    acc += alive * _exact_reward(observed, n + 1, decay, bern_p)
                 yield prob * weight_per_order * acc
 
     return math.fsum(contributions())

@@ -30,6 +30,7 @@ from .decay import DecaySequence
 from .distributions import Distribution, Instance
 from .errors import (
     InstanceTooLarge,
+    InvariantViolation,
     ParameterOutOfRange,
     UnsupportedDistribution,
 )
@@ -61,8 +62,8 @@ class ThresholdPolicy:
     tie_break_accept_prob: float = 0.0
 
     def __post_init__(self):
-        if self.theta < 0.0:
-            raise ParameterOutOfRange("threshold must be >= 0")
+        if not self.theta >= 0.0:
+            raise ParameterOutOfRange(f"threshold must be >= 0, got {self.theta}")
         if not 0.0 <= self.tie_break_accept_prob <= 1.0:
             raise ParameterOutOfRange("tie-break probability must lie in [0,1]")
 
@@ -89,21 +90,23 @@ class Trajectory:
     reward: float
 
 
-def _stop_reward(values, tau: int, decay: DecaySequence, rng) -> float:
-    best = values[tau - 1]  # lag 0: the accepted observation at full value
+def check_reward(reward: float, top: float) -> float:
+    """``reward``, checked not to exceed the largest observation ``top``."""
+    if reward > top + 1e-12:
+        raise InvariantViolation(
+            f"reward {reward!r} exceeds the largest observation {top!r}: "
+            "a decay map lies above the identity"
+        )
+    return reward
+
+
+def _path_reward(values, tau: int, decay: DecaySequence, rng) -> float:
+    """Stopping at tau <= n: the accepted value (lag 0) or a decayed recall;
+    tau = n + 1 (never stopped): the best decayed recall, at least 0."""
+    best = values[tau - 1] if tau <= len(values) else 0.0
     for lag in range(1, tau):
-        x = values[tau - 1 - lag]
-        best = max(best, decay_mod.sample_realization(decay, lag, x, rng))
-    return best
-
-
-def _end_reward(values, decay: DecaySequence, rng) -> float:
-    n = len(values)
-    best = 0.0
-    for lag in range(1, n + 1):
-        x = values[n - lag]
-        best = max(best, decay_mod.sample_realization(decay, lag, x, rng))
-    return best
+        best = max(best, decay_mod.sample_realization(decay, lag, values[tau - 1 - lag], rng))
+    return check_reward(best, max(values))
 
 
 def run_policy(
@@ -126,20 +129,18 @@ def run_policy(
         raise ParameterOutOfRange("observations must be non-negative")
     remaining = frozenset(dist_indices) if dist_indices is not None else frozenset(range(n))
     running_max = 0.0
+    tau = n + 1
     for t in range(1, n + 1):
         x = values[t - 1]
         idx = dist_indices[t - 1] if dist_indices is not None else t - 1
         rem_after = remaining - {idx}
         p_stop = policy.stop_probability(t, x, running_max, n, rem_after)
         if p_stop >= 1.0 or (p_stop > 0.0 and rng.random() < p_stop):
-            reward = _stop_reward(values, t, decay, rng)
-            assert reward <= max(values) + 1e-12  # decay never exceeds identity
-            return Trajectory(values, t, reward)
+            tau = t
+            break
         running_max = max(running_max, x)
         remaining = rem_after
-    reward = _end_reward(values, decay, rng)
-    assert reward <= max(values) + 1e-12
-    return Trajectory(values, n + 1, reward)
+    return Trajectory(values, tau, _path_reward(values, tau, decay, rng))
 
 
 def run_threshold(

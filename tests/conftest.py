@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lookback_prophet
 from lookback_prophet import Instance, discrete
 
 
@@ -26,3 +30,12 @@ def random_instance(rng, order="adversarial", max_n=5, max_support=4) -> Instanc
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240601)
+
+
+def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lookback_prophet.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    cmd = [sys.executable, *flags, "-c", code]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)

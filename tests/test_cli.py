@@ -156,6 +156,22 @@ def test_simulate_rejects_zero_reps(tmp_path, capsys):
     assert code == 2 and "reps" in err
 
 
+def test_simulate_rejects_nan_threshold(tmp_path, capsys):
+    inst_path = write_instance(tmp_path, adv_hard(0.5, 0.1))
+    code, _, err = run_cli(
+        capsys,
+        "simulate",
+        inst_path,
+        "--policy",
+        '{"kind": "threshold", "theta": NaN}',
+        "--decay",
+        '{"kind": "gamma", "gamma": 0.5}',
+        "--reps",
+        "200",
+    )
+    assert code != 0 and "threshold" in err
+
+
 def test_simulate_workers_do_not_change_output(tmp_path, capsys):
     inst_path = write_instance(tmp_path, adv_hard(0.5, 0.01))
     outs = []

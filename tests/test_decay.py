@@ -213,3 +213,17 @@ def test_json_matches_documented_shapes():
     }
     table = table_decay([HALVING], HALVING).to_dict()
     assert table["kind"] == "table" and table["functions"][0]["xs"] == [0.0, 1e6]
+
+
+@pytest.mark.parametrize("costs, terminal", [([float("nan")], 1.0), ([1.0], float("nan"))])
+def test_subtractive_rejects_nan(costs, terminal):
+    with pytest.raises(ParameterOutOfRange):
+        subtractive_decay(costs, terminal)
+
+
+@pytest.mark.parametrize(
+    "xs, ys", [((0.0, float("nan")), (0.0, 1.0)), ((0.0, 1.0), (float("nan"), 1.0))]
+)
+def test_piecewise_linear_rejects_nan_knots(xs, ys):
+    with pytest.raises(ParameterOutOfRange):
+        PiecewiseLinear(xs, ys)

@@ -13,6 +13,7 @@ from lookback_prophet import (
     point,
     uniform,
 )
+from lookback_prophet import distributions
 from lookback_prophet.distributions import (
     cdf,
     expectation,
@@ -22,10 +23,10 @@ from lookback_prophet.distributions import (
     sample,
     solve_max_quantile,
 )
-from lookback_prophet.errors import ParameterOutOfRange
+from lookback_prophet.errors import IntegrationFailure, ParameterOutOfRange
 from lookback_prophet.evaluation import child_rng
 from lookback_prophet.instances import rescale
-from tests.conftest import random_instance
+from tests.conftest import random_instance, run_python
 
 TWO_POINT = discrete([0.0, 10.0], [0.9, 0.1])
 
@@ -100,6 +101,30 @@ def test_max_cdf_monotone_and_factorizes(rng):
 def test_expected_max_two_uniforms():
     inst = Instance("adversarial", (uniform(0, 1), uniform(0, 1)))
     assert expected_max(inst) == pytest.approx(2.0 / 3.0, rel=1e-9)
+
+
+def test_expected_max_closed_forms_to_1e12():
+    two = Instance("random", (uniform(0, 1), uniform(0, 1)))
+    assert expected_max(two) == pytest.approx(2.0 / 3.0, rel=1e-12, abs=0.0)
+    for k, rate in ((1, 1.0), (3, 0.5), (10, 2.0), (50, 1.7)):
+        harmonic = math.fsum(1.0 / i for i in range(1, k + 1))
+        for inst in (
+            Instance("iid", (exponential(rate),), iid_count=k),
+            Instance("adversarial", (exponential(rate),) * k),
+        ):
+            assert expected_max(inst) == pytest.approx(harmonic / rate, rel=1e-12, abs=0.0)
+
+
+def test_expected_max_raises_when_quadrature_cannot_converge(monkeypatch):
+    monkeypatch.setattr(distributions, "QUAD_MAX_ROUNDS", 1)  # no bisection allowed
+    with pytest.raises(IntegrationFailure):
+        expected_max(Instance("adversarial", (exponential(1.0), exponential(3.0))))
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, lookback_prophet; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    out = run_python(code)
+    assert out.returncode == 0 and out.stdout.strip() == "[]"
 
 
 def test_expected_max_sure_value_plus_spike():

@@ -4,17 +4,20 @@ import pytest
 from lookback_prophet import (
     Instance,
     NeverStopPolicy,
+    PiecewiseLinear,
     ThresholdPolicy,
     bernoulli_decay,
     discrete,
     gamma_decay,
     geometric_decay,
     point,
+    table_decay,
     uniform,
 )
 from lookback_prophet.distributions import expected_max
 from lookback_prophet.errors import (
     InstanceTooLarge,
+    InvariantViolation,
     ParameterOutOfRange,
     UnsupportedDistribution,
 )
@@ -30,7 +33,7 @@ from lookback_prophet.policies import (
     run_policy,
     run_threshold,
 )
-from tests.conftest import random_instance
+from tests.conftest import random_instance, run_python
 
 
 def test_run_threshold_stops_above():
@@ -333,3 +336,32 @@ def test_bernoulli_decay_realizations_drawn_at_stop():
     freq3 = never.count(3.0) / len(never)
     freq0 = never.count(0.0) / len(never)
     assert abs(freq4 - 0.5) < 0.03 and abs(freq3 - 0.25) < 0.03 and abs(freq0 - 0.25) < 0.03
+
+
+def test_threshold_rejects_nan():
+    with pytest.raises(ParameterOutOfRange):
+        ThresholdPolicy(float("nan"))
+
+
+def test_reward_above_largest_observation_raises():
+    doubling = PiecewiseLinear((0.0, 10.0), (0.0, 20.0))
+    with pytest.raises(InvariantViolation):
+        run_policy(NeverStopPolicy(), [1.0, 2.0], table_decay([doubling], doubling), None)
+
+
+def test_reward_invariant_survives_optimize_flag():
+    code = """
+import sys
+from lookback_prophet import NeverStopPolicy, PiecewiseLinear, table_decay
+from lookback_prophet.errors import InvariantViolation
+from lookback_prophet.policies import run_policy
+assert sys.flags.optimize == 1
+doubling = PiecewiseLinear((0.0, 10.0), (0.0, 20.0))
+try:
+    run_policy(NeverStopPolicy(), [1.0, 2.0], table_decay([doubling], doubling), None)
+except InvariantViolation:
+    print("raised")
+"""
+    out = run_python(code, "-O")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
